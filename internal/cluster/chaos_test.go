@@ -343,7 +343,7 @@ func TestChaosSoak(t *testing.T) {
 	cases := []struct {
 		name         string
 		spec         string // coordinator-side transport chaos
-		kill         bool   // SIGKILL worker 0 after its 2nd map
+		kill         bool   // kill worker 0 at its first accepted map result
 		hang         bool   // worker 0 hangs ~20% of maps; speculation rescues
 		wantFallback bool   // ≥1 batched fetch must fall back to per-spill
 	}{
@@ -380,14 +380,15 @@ func TestChaosSoak(t *testing.T) {
 				if i != 0 {
 					return
 				}
-				switch {
-				case tc.kill:
-					workerInj = faultinject.New(faultinject.Spec{KillAfterMaps: 2})
-					wc.Chaos = workerInj
-				case tc.hang:
+				if tc.hang {
 					workerInj = faultinject.New(faultinject.Spec{Seed: 404, HangP: 0.2})
 					wc.Chaos = workerInj
 				}
+			}
+			if tc.kill {
+				// Without replicas the lost spills can only come back by
+				// re-execution, which the case asserts.
+				cfg.SpillReplicas = -1
 			}
 			if tc.hang {
 				cfg.Speculation = true
@@ -397,10 +398,17 @@ func TestChaosSoak(t *testing.T) {
 			}
 			c, workers := startChaosCluster(t, 3, cfg, mutate, nil)
 			if tc.kill {
-				// The injector's exit hook stands in for SIGKILL: the worker's
-				// server and spill directory vanish mid-job. Async because a
-				// handler cannot join its own server shutdown.
-				workerInj.SetExit(func(int) { go workers[0].kill() })
+				// Kill w0 the moment its first Map result is accepted, before
+				// any dependent reduce is submitted: its server and spill
+				// directory vanish, so recovery must re-execute. A later
+				// trigger (say, w0's next BeforeMap) can fire after every
+				// dependent reduce already fetched, leaving nothing to redo.
+				// TestBeforeMapKillSchedule covers the injector's schedule.
+				c.onMapResult = func(_ string, _ int, worker string) {
+					if worker == "w0" {
+						workers[0].kill()
+					}
+				}
 			}
 			res, err := runClusterJob(t, c, nil)
 			if err != nil {

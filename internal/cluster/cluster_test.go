@@ -317,7 +317,10 @@ func TestShortKVCountNeverFinalizes(t *testing.T) {
 // with output identical to the in-process engine.
 func TestWorkerLossReexecution(t *testing.T) {
 	reg := metrics.New()
-	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg})
+	// No replicas: this is the no-replica acceptance test. With one, an
+	// async replica can land before the kill and recovery re-fetches it
+	// instead of re-executing.
+	c, workers := startCluster(t, 2, CoordinatorConfig{Metrics: reg, SpillReplicas: -1})
 
 	// Kill w0 the moment its first Map result is accepted: the result's
 	// spills die with it, before any dependent reduce can fetch them.

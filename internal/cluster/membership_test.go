@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"sidr/internal/exec"
+	"sidr/internal/faultinject"
 	"sidr/internal/metrics"
 )
 
@@ -451,5 +455,92 @@ func TestChurnSoak(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestOutputAfterReleaseIsReclaimed: a Map commit or replica install
+// that completes after its job's release broadcast must not leave a
+// pack behind — nobody would ever release it. Both requests answer 410
+// and the worker's spill tree holds no pack afterwards; an unreleased
+// job's replica still installs.
+func TestOutputAfterReleaseIsReclaimed(t *testing.T) {
+	newWorker := func(name string, chaos *faultinject.Injector) (*Worker, *httptest.Server, string) {
+		dir := t.TempDir()
+		w, err := NewWorker(WorkerConfig{Name: name, SpillDir: dir, Chaos: chaos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(w)
+		t.Cleanup(srv.Close)
+		t.Cleanup(func() { w.Close() })
+		return w, srv, dir
+	}
+	post := func(url string, body any) int {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	packs := func(dir string) []string {
+		var out []string
+		filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), ".pack") {
+				out = append(out, path)
+			}
+			return nil
+		})
+		return out
+	}
+	mapReq := func(job string) MapRequest {
+		return MapRequest{JobID: job, Split: 0, Plan: testJobPlan(), Dataset: testDataset()}
+	}
+
+	// Map path: the release lands while the attempt is delayed inside
+	// the handler, after the job's state was looked up.
+	slow, slowSrv, slowDir := newWorker("slow", faultinject.New(faultinject.Spec{MapDelayP: 1, MapDelay: 300 * time.Millisecond}))
+	status := make(chan int, 1)
+	go func() { status <- post(slowSrv.URL+"/v1/map", mapReq("job-late")) }()
+	waitFor(t, 5*time.Second, "map attempt running", func() bool { return slow.running.Load() > 0 })
+	if got := post(slowSrv.URL+"/v1/release", ReleaseRequest{JobID: "job-late"}); got != http.StatusOK {
+		t.Fatalf("release = %d", got)
+	}
+	if got := <-status; got != http.StatusGone {
+		t.Fatalf("map committing after its release = %d, want 410", got)
+	}
+	if p := packs(slowDir); len(p) != 0 {
+		t.Fatalf("map output survived its job's release: %v", p)
+	}
+
+	// Replica path: the source hosts a committed pack; the target was
+	// told the job is released before the push reaches it.
+	_, srcSrv, _ := newWorker("src", nil)
+	for _, job := range []string{"job-a", "job-b"} {
+		if got := post(srcSrv.URL+"/v1/map", mapReq(job)); got != http.StatusOK {
+			t.Fatalf("map %s = %d", job, got)
+		}
+	}
+	_, dstSrv, dstDir := newWorker("dst", nil)
+	if got := post(dstSrv.URL+"/v1/release", ReleaseRequest{JobID: "job-a"}); got != http.StatusOK {
+		t.Fatalf("release = %d", got)
+	}
+	if got := post(dstSrv.URL+"/v1/replicate", ReplicateRequest{JobID: "job-a", SourceURL: srcSrv.URL}); got != http.StatusGone {
+		t.Fatalf("replica of a released job = %d, want 410", got)
+	}
+	if p := packs(dstDir); len(p) != 0 {
+		t.Fatalf("replica survived its job's release: %v", p)
+	}
+	if got := post(dstSrv.URL+"/v1/replicate", ReplicateRequest{JobID: "job-b", SourceURL: srcSrv.URL}); got != http.StatusOK {
+		t.Fatalf("replica of a live job = %d, want 200", got)
+	}
+	if p := packs(dstDir); len(p) != 1 {
+		t.Fatalf("live job's replica: packs %v, want one", p)
 	}
 }

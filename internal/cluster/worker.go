@@ -92,7 +92,17 @@ type Worker struct {
 
 	mu   sync.Mutex
 	jobs map[string]*workerJob
+	// released holds recently released job IDs and when each was
+	// released, so output that commits after its job's release can be
+	// reclaimed (see reclaimIfReleased). Entries expire after
+	// releasedTTL; a fresh Map dispatch for the ID clears its entry.
+	released map[string]time.Time
 }
+
+// releasedTTL bounds how long a released job ID is remembered. Output
+// racing a release lands within milliseconds; the bound only keeps the
+// set small on a long-lived worker.
+const releasedTTL = 10 * time.Minute
 
 // workerJob caches one job's derived plan and opened dataset so every
 // Map attempt of the job shares them. The entry is bound to the
@@ -144,7 +154,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	w := &Worker{cfg: cfg, client: cfg.Client, store: store,
-		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob)}
+		drainCh: make(chan struct{}), jobs: make(map[string]*workerJob),
+		released: make(map[string]time.Time)}
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("/v1/map", w.handleMap)
 	// The exact-path batch pattern outranks the per-spill subtree on the
@@ -366,6 +377,7 @@ func (w *Worker) jobFor(req *MapRequest) (*workerJob, error) {
 		w.logf("job %s re-submitted with a different plan/dataset; dropping stale state", req.JobID)
 		w.releaseLocked(req.JobID)
 	}
+	delete(w.released, req.JobID) // a new incarnation of the ID
 	plan, err := req.Plan.NewPlan()
 	if err != nil {
 		return nil, err
@@ -428,6 +440,25 @@ func (w *Worker) releaseLocked(jobID string) {
 	os.RemoveAll(filepath.Join(w.cfg.SpillDir, jobID))
 }
 
+// reclaimIfReleased deletes one attempt's just-committed pack when its
+// job was released while the attempt ran — a Map commit or replica
+// install that lost the race against the coordinator's release
+// broadcast, which would otherwise leave a pack nobody releases. It
+// reports whether the pack was reclaimed. The check and the release
+// both hold w.mu: a release that lands after the check still sees the
+// committed pack and deletes it itself.
+func (w *Worker) reclaimIfReleased(job string, split, attempt int) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if _, gone := w.released[job]; !gone {
+		return false
+	}
+	w.store.ReleaseAttempt(job, split, attempt)
+	os.Remove(filepath.Join(w.cfg.SpillDir, job)) // only if now empty
+	w.logf("reclaimed job %s split %d attempt %d: committed after the job's release", job, split, attempt)
+	return true
+}
+
 // handleRelease drops a resolved job's cached state and spills:
 // POST /v1/release {"job_id": ...}. With both "split" and "attempt"
 // set, the release is scoped to that single attempt's spill directory —
@@ -465,6 +496,13 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
+	now := time.Now()
+	for id, at := range w.released {
+		if now.Sub(at) > releasedTTL {
+			delete(w.released, id)
+		}
+	}
+	w.released[req.JobID] = now
 	w.releaseLocked(req.JobID)
 	w.mu.Unlock()
 	w.store.SweepTemps(time.Minute)
@@ -623,6 +661,10 @@ func (w *Worker) handleMap(rw http.ResponseWriter, r *http.Request) {
 	}
 	if err := pw.Commit(); err != nil {
 		http.Error(rw, "spill commit: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if w.reclaimIfReleased(req.JobID, req.Split, req.Attempt) {
+		http.Error(rw, "job released while the map ran", http.StatusGone)
 		return
 	}
 	w.mapsDone.Add(1)
@@ -799,6 +841,10 @@ func (w *Worker) handleReplicate(rw http.ResponseWriter, r *http.Request) {
 			http.Error(rw, fmt.Sprintf("replica verify kb %d: %v", kb, err), http.StatusBadGateway)
 			return
 		}
+	}
+	if w.reclaimIfReleased(req.JobID, req.Split, req.Attempt) {
+		http.Error(rw, "job released while the replica installed", http.StatusGone)
+		return
 	}
 	w.logf("installed replica %s/%d attempt %d (%d bytes, %d keyblocks) from %s",
 		req.JobID, req.Split, req.Attempt, n, len(kbs), req.SourceURL)

@@ -389,6 +389,14 @@ func TestSharedExecutorBoundsConcurrency(t *testing.T) {
 	if st.Dispatched == 0 {
 		t.Fatal("shared executor dispatched no tasks")
 	}
+	// A job turns terminal inside its last task, a moment before the
+	// worker running that task decrements Running: wait for the pool to
+	// settle rather than sampling it at once.
+	deadline := time.Now().Add(5 * time.Second)
+	for (st.Running != 0 || st.Queued != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = m.ExecStats()
+	}
 	if st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("executor not quiescent after jobs drained: %+v", st)
 	}

@@ -343,14 +343,18 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 
 	// Fast path 2: the same query is executing right now — attach as a
 	// follower of the live leader instead of queueing a duplicate.
+	// Each notify hook is assigned before the job becomes reachable (the
+	// attach or the queue send): a fast job can finish, and read the
+	// hook, before this goroutine runs another statement. jobDone then
+	// waits on m.mu until the bookkeeping below is in place.
+	tenant := req.Tenant
 	if keyed {
+		j.notify = func() { m.jobDone(tenant, "", nil) }
 		if leader, ok := m.collapse[key]; ok && leader.attach(j) {
 			m.jobs[j.ID] = j
 			m.order = append(m.order, j.ID)
 			m.inflight[req.Tenant]++
 			m.tenantGauge(req.Tenant).Add(1)
-			tenant := req.Tenant
-			j.notify = func() { m.jobDone(tenant, "", nil) }
 			m.mu.Unlock()
 			m.mSubmitted.Inc()
 			m.mCollapsed.Inc()
@@ -359,6 +363,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 
 	m.gQueued.Add(1) // before the send: a worker may pop immediately
+	j.notify = func() { m.jobDone(tenant, key, j) }
 	select {
 	case m.queue <- j:
 		m.jobs[j.ID] = j
@@ -368,8 +373,6 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		}
 		m.inflight[req.Tenant]++
 		m.tenantGauge(req.Tenant).Add(1)
-		tenant := req.Tenant
-		j.notify = func() { m.jobDone(tenant, key, j) }
 		m.mu.Unlock()
 		m.mSubmitted.Inc()
 		return j, nil

@@ -316,3 +316,52 @@ func TestTenantQuotaRejects(t *testing.T) {
 		t.Fatalf("post-completion submit rejected: %v", err)
 	}
 }
+
+// TestFastJobsReleaseTenantInflight: a job can finish between its
+// queue send (or collapse attach) and the rest of Submit. Its terminal
+// hook must still release the tenant's in-flight slot and gauge, so
+// after many fast jobs the gauge is back at 0 and the tenant is never
+// refused for quota.
+func TestFastJobsReleaseTenantInflight(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		provider DatasetProvider
+	}{
+		{"unversioned", newFakeProvider([]int64{4, 4}, 0)},
+		{"collapsing", newVersionedProvider([]int64{4, 4})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.New()
+			m := newTestManager(t, Config{
+				Datasets:         tc.provider,
+				Metrics:          reg,
+				QueueDepth:       512,
+				ResultCacheBytes: -1,
+				Tenants:          map[string]TenantPolicy{"acme": {MaxInFlight: 1000}},
+			})
+			var jobs []*Job
+			for i := 0; i < 200; i++ {
+				ds := "d"
+				if i%2 == 1 {
+					ds = "missing" // fails at once: the fastest possible job
+				}
+				j, err := m.Submit(Request{Dataset: ds, Query: "sum v[0,0 : 4,4] es {2,2}", Reducers: 1, Tenant: "acme"})
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				jobs = append(jobs, j)
+			}
+			for _, j := range jobs {
+				j.Wait(context.Background())
+			}
+			gauge := reg.Gauge(`sidrd_tenant_inflight{tenant="acme"}`)
+			deadline := time.Now().Add(5 * time.Second)
+			for gauge.Value() != 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if v := gauge.Value(); v != 0 {
+				t.Fatalf("sidrd_tenant_inflight = %d after every job finished, want 0", v)
+			}
+		})
+	}
+}

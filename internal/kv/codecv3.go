@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"sidr/internal/coords"
 )
@@ -215,14 +216,86 @@ func v3BlockRawLen(rank, nPairs, nSamples int) int {
 	return nPairs*(rank*8+4*8+8+4) + nSamples*8
 }
 
+// eagerBlockLen bounds how much of a block's claimed length the reader
+// allocates before the bytes arrive. Real blocks (a few hundred KB)
+// get one exactly-sized buffer; a longer claim grows the buffer only as
+// data is actually read, so a corrupt length field on a short stream
+// costs at most this much before the truncation is noticed.
+const eagerBlockLen = 1 << 20
+
+// readBlockInto reads exactly n bytes from r into buf, reusing buf's
+// capacity and growing it geometrically past eagerBlockLen. It returns
+// the bytes read; a short read also returns the io.ReadFull error.
+func readBlockInto(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) < min(n, eagerBlockLen) {
+		buf = make([]byte, min(n, eagerBlockLen))
+	}
+	got := 0
+	for {
+		want := min(n, cap(buf))
+		k, err := io.ReadFull(r, buf[got:want])
+		got += k
+		if err != nil || got == n {
+			return buf[:got], err
+		}
+		grown := make([]byte, min(n, 2*cap(buf)))
+		copy(grown, buf[:got])
+		buf = grown
+	}
+}
+
+// v3Decoder holds the buffers one ReadSpill call reuses across blocks:
+// the stored block bytes, the inflated payload and the inflater. None of
+// them escapes into decoded pairs.
+type v3Decoder struct {
+	stored, raw []byte
+	src         bytes.Reader
+	fr          io.ReadCloser
+}
+
+// inflate decompresses stored into the reused raw buffer and requires
+// the stream to produce exactly rawLen bytes.
+func (d *v3Decoder) inflate(stored []byte, rawLen int) ([]byte, error) {
+	d.src.Reset(stored)
+	if d.fr == nil {
+		d.fr = flate.NewReader(&d.src)
+	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
+		return nil, err
+	}
+	raw, err := readBlockInto(d.fr, d.raw, rawLen)
+	d.raw = raw
+	n := len(raw)
+	if err == nil {
+		// The stream must end cleanly exactly at rawLen.
+		var extra [1]byte
+		k, xerr := io.ReadFull(d.fr, extra[:])
+		n += k
+		if xerr != io.EOF {
+			err = xerr
+		}
+	} else if err == io.ErrUnexpectedEOF || err == io.EOF {
+		err = nil // short stream: reported through n below
+	}
+	if cerr := d.fr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || n != rawLen {
+		return nil, fmt.Errorf("inflates to %d bytes, header says %d (%v)", n, rawLen, err)
+	}
+	return raw, nil
+}
+
 // readSpillV3Body decodes the block stream following a v3 header,
 // verifying each block's CRC (seeded by the header fields) before any
-// of its pairs are surfaced.
+// of its pairs are surfaced. Each block is read into one reused buffer
+// and decoded straight into the result: allocations scale with the
+// block count, not the pair count.
 func readSpillV3Body(br *bufio.Reader, h SpillHeader, seed uint32) ([]Pair, error) {
 	le := binary.LittleEndian
 	// Cap preallocation: counts are untrusted until the blocks that back
 	// them actually arrive.
 	pairs := make([]Pair, 0, min(h.Pairs, 1024))
+	var d v3Decoder
 	for b := 0; b < h.Blocks; b++ {
 		var bh [blockHeaderLen]byte
 		if _, err := io.ReadFull(br, bh[:]); err != nil {
@@ -240,8 +313,9 @@ func readSpillV3Body(br *bufio.Reader, h SpillHeader, seed uint32) ([]Pair, erro
 			return nil, fmt.Errorf("kv: spill block %d implausible lengths raw=%d enc=%d: %w",
 				b, rawLen, encLen, ErrChecksum)
 		}
-		stored, err := io.ReadAll(io.LimitReader(br, int64(encLen)))
-		if err != nil {
+		stored, err := readBlockInto(br, d.stored, encLen)
+		d.stored = stored
+		if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 			return nil, fmt.Errorf("kv: reading spill block %d: %w", b, err)
 		}
 		if len(stored) != encLen {
@@ -255,24 +329,16 @@ func readSpillV3Body(br *bufio.Reader, h SpillHeader, seed uint32) ([]Pair, erro
 		}
 		raw := stored
 		if h.Flags&V3FlagDeflate != 0 {
-			fr := flate.NewReader(bytes.NewReader(stored))
-			raw, err = io.ReadAll(io.LimitReader(fr, int64(rawLen)+1))
-			if cerr := fr.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil || len(raw) != rawLen {
-				return nil, fmt.Errorf("kv: spill block %d inflates to %d bytes, header says %d (%v): %w",
-					b, len(raw), rawLen, err, ErrChecksum)
+			if raw, err = d.inflate(stored, rawLen); err != nil {
+				return nil, fmt.Errorf("kv: spill block %d %v: %w", b, err, ErrChecksum)
 			}
 		} else if encLen != rawLen {
 			return nil, fmt.Errorf("kv: uncompressed spill block %d stored %d != raw %d: %w",
 				b, encLen, rawLen, ErrChecksum)
 		}
-		got, err := decodeV3Block(h.Rank, bPairs, raw)
-		if err != nil {
+		if pairs, err = decodeV3Block(h.Rank, bPairs, raw, pairs); err != nil {
 			return nil, fmt.Errorf("kv: spill block %d: %w", b, err)
 		}
-		pairs = append(pairs, got...)
 	}
 	if len(pairs) != h.Pairs {
 		return nil, fmt.Errorf("kv: spill blocks hold %d pairs, header says %d: %w",
@@ -281,16 +347,32 @@ func readSpillV3Body(br *bufio.Reader, h SpillHeader, seed uint32) ([]Pair, erro
 	return pairs, nil
 }
 
-// decodeV3Block parses one block's columnar payload back into pairs.
-func decodeV3Block(rank, n int, raw []byte) ([]Pair, error) {
+// decodeV3Block parses one block's n-pair columnar payload and appends
+// the pairs to pairs, growing it only after the payload length proves
+// the claimed count. The block's keys share one backing array and its
+// samples one slab; each pair's Samples is a full-capacity sub-slice of
+// the slab, so appending to it copies instead of overwriting the next
+// pair's samples.
+func decodeV3Block(rank, n int, raw []byte, pairs []Pair) ([]Pair, error) {
 	fixed := n * (rank*8 + 4*8 + 8 + 4)
 	if len(raw) < fixed {
 		return nil, fmt.Errorf("kv: block payload %d bytes < %d fixed columns: %w",
 			len(raw), fixed, ErrChecksum)
 	}
 	le := binary.LittleEndian
-	pairs := make([]Pair, n)
-	keys := make(coords.Coord, rank*n) // one backing array for the block's keys
+	countsOff := fixed - n*4
+	totalSamples := 0
+	for i := 0; i < n; i++ {
+		totalSamples += int(le.Uint32(raw[countsOff+4*i:]))
+	}
+	if len(raw) != fixed+totalSamples*8 {
+		return nil, fmt.Errorf("kv: block payload %d bytes, columns need %d: %w",
+			len(raw), fixed+totalSamples*8, ErrChecksum)
+	}
+	base := len(pairs)
+	pairs = slices.Grow(pairs, n)[:base+n]
+	dst := pairs[base:]
+	keys := make(coords.Coord, rank*n)
 	off := 0
 	for d := 0; d < rank; d++ {
 		for i := 0; i < n; i++ {
@@ -298,50 +380,36 @@ func decodeV3Block(rank, n int, raw []byte) ([]Pair, error) {
 			off += 8
 		}
 	}
-	for i := 0; i < n; i++ {
-		pairs[i].Key = keys[i*rank : (i+1)*rank : (i+1)*rank]
+	col := func(c int) []byte { return raw[off+c*n*8 : off+(c+1)*n*8] }
+	sums, sumSqs, mins, maxs, counts := col(0), col(1), col(2), col(3), col(4)
+	for i := range dst {
+		dst[i] = Pair{
+			Key: keys[i*rank : (i+1)*rank : (i+1)*rank],
+			Value: Value{
+				Sum:   math.Float64frombits(le.Uint64(sums[8*i:])),
+				SumSq: math.Float64frombits(le.Uint64(sumSqs[8*i:])),
+				Min:   math.Float64frombits(le.Uint64(mins[8*i:])),
+				Max:   math.Float64frombits(le.Uint64(maxs[8*i:])),
+				Count: int64(le.Uint64(counts[8*i:])),
+			},
+		}
 	}
-	getF := func() float64 {
-		f := math.Float64frombits(le.Uint64(raw[off:]))
-		off += 8
-		return f
+	if totalSamples == 0 {
+		return pairs, nil
 	}
-	for i := 0; i < n; i++ {
-		pairs[i].Value.Sum = getF()
+	slab := make([]float64, totalSamples)
+	sampleBytes := raw[fixed:]
+	for s := range slab {
+		slab[s] = math.Float64frombits(le.Uint64(sampleBytes[8*s:]))
 	}
-	for i := 0; i < n; i++ {
-		pairs[i].Value.SumSq = getF()
-	}
-	for i := 0; i < n; i++ {
-		pairs[i].Value.Min = getF()
-	}
-	for i := 0; i < n; i++ {
-		pairs[i].Value.Max = getF()
-	}
-	for i := 0; i < n; i++ {
-		pairs[i].Value.Count = int64(le.Uint64(raw[off:]))
-		off += 8
-	}
-	totalSamples := 0
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		counts[i] = int(le.Uint32(raw[off:]))
-		off += 4
-		totalSamples += counts[i]
-	}
-	if len(raw) != fixed+totalSamples*8 {
-		return nil, fmt.Errorf("kv: block payload %d bytes, columns need %d: %w",
-			len(raw), fixed+totalSamples*8, ErrChecksum)
-	}
-	for i := 0; i < n; i++ {
-		if counts[i] == 0 {
+	at := 0
+	for i := range dst {
+		c := int(le.Uint32(raw[countsOff+4*i:]))
+		if c == 0 {
 			continue
 		}
-		ss := make([]float64, counts[i])
-		for s := range ss {
-			ss[s] = getF()
-		}
-		pairs[i].Value.Samples = ss
+		dst[i].Value.Samples = slab[at : at+c : at+c]
+		at += c
 	}
 	return pairs, nil
 }

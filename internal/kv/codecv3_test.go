@@ -282,3 +282,32 @@ func FuzzReadSpillV3(f *testing.F) {
 		}
 	})
 }
+
+// TestSpillV3DecodedSamplesDoNotAlias: decoded pairs share one sample
+// slab per block, so appending to one pair's Samples (as a merge does)
+// must copy rather than overwrite its neighbour's samples.
+func TestSpillV3DecodedSamplesDoNotAlias(t *testing.T) {
+	pairs := []Pair{
+		{Key: coords.NewCoord(0), Value: Value{Count: 2, Samples: []float64{1, 2}}},
+		{Key: coords.NewCoord(1), Value: Value{Count: 2, Samples: []float64{3, 4}}},
+		{Key: coords.NewCoord(2), Value: Value{Count: 1, Samples: []float64{5}}},
+	}
+	for _, compress := range []bool{false, true} {
+		data := encodeSpillV3(t, 1, 5, pairs, V3Options{Compress: compress})
+		_, got, err := ReadSpill(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[0].Value.Samples = append(got[0].Value.Samples, 99)
+		got[1].Value.Merge(Value{Count: 1, Samples: []float64{98}})
+		if s := got[1].Value.Samples; len(s) != 3 || s[0] != 3 || s[1] != 4 || s[2] != 98 {
+			t.Fatalf("compress=%v: pair 1 samples = %v", compress, s)
+		}
+		if s := got[2].Value.Samples; len(s) != 1 || s[0] != 5 {
+			t.Fatalf("compress=%v: pair 2 samples overwritten: %v", compress, s)
+		}
+		if s := got[0].Value.Samples; len(s) != 3 || s[0] != 1 || s[1] != 2 || s[2] != 99 {
+			t.Fatalf("compress=%v: pair 0 samples = %v", compress, s)
+		}
+	}
+}

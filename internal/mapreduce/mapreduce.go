@@ -160,8 +160,11 @@ type Config struct {
 	// operator (§3.2.1 approach 2). Requires Graph.
 	ValidateCounts bool
 
-	// Combine runs map-side combining (lossless for distributive and
-	// filter operators; skipped automatically for holistic ones).
+	// Combine runs the map-side combiner, lossless for every operator
+	// kind: distributive values fold, holistic values concatenate so each
+	// K' key ships one pair carrying all its samples, and filters
+	// pre-filter. Off, every source sample of a sample-keeping operator
+	// ships as its own pair (the uncombined Hadoop baseline).
 	Combine bool
 
 	// Workers bounds the job's task concurrency. Without an injected

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"sync"
 
 	"sidr/internal/coords"
 	"sidr/internal/hdfs"
@@ -17,17 +18,26 @@ type FileReader struct {
 	Var  string
 }
 
+// rowBufs recycles FileReader row buffers across ReadSplit calls, which
+// are many and short: every Map task and every block of a registration's
+// index build reads its own split. emit receives values, never the
+// buffer, so a buffer is free again when ReadSplit returns.
+var rowBufs = sync.Pool{New: func() any { return new([]float64) }}
+
 // ReadSplit implements RecordReader.
 func (r *FileReader) ReadSplit(slab coords.Slab, emit func(coords.Coord, float64) error) error {
 	rows, err := slab.SplitDim(0, 1)
 	if err != nil {
 		return err
 	}
+	buf := rowBufs.Get().(*[]float64)
+	defer rowBufs.Put(buf)
 	for _, row := range rows {
-		vals, err := r.File.ReadSlab(r.Var, row)
+		vals, err := r.File.ReadSlabInto(r.Var, row, *buf)
 		if err != nil {
 			return err
 		}
+		*buf = vals
 		i := 0
 		var emitErr error
 		row.EachReuse(func(k coords.Coord) bool {

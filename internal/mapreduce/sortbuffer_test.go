@@ -33,42 +33,92 @@ func TestSortBufferBoundedMatchesUnbounded(t *testing.T) {
 
 // TestSortBufferAffectsUncombinedPairCount: with combining disabled, a
 // tight buffer cannot fold pairs across segments, so the shuffle carries
-// at least as many pairs as the unbounded run; with combining enabled
-// the map-side merge restores the fully folded count.
+// more pairs than the unbounded run; with combining enabled the map-side
+// merge restores the fully folded count for every operator kind —
+// holistic values concatenate across segments just as distributive
+// values fold.
 func TestSortBufferAffectsUncombinedPairCount(t *testing.T) {
-	q := mustParse(t, "median temp[0,0 : 28,10] es {7,5}")
-	unbounded := buildJob(t, q, 2, true, true)
-	r1, err := Run(unbounded)
-	if err != nil {
-		t.Fatal(err)
+	pairsOut := func(qs string, combine bool, bound int64) int64 {
+		t.Helper()
+		cfg := buildJob(t, mustParse(t, qs), 2, true, combine)
+		cfg.SortBufferRecords = bound
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Counters.MapPairsOut
 	}
-	bounded := buildJob(t, q, 2, true, true)
-	bounded.SortBufferRecords = 5
-	r2, err := Run(bounded)
-	if err != nil {
-		t.Fatal(err)
+	const avg = "avg temp[0,0 : 28,10] es {7,5}"
+	if u, b := pairsOut(avg, false, 0), pairsOut(avg, false, 5); b <= u {
+		t.Fatalf("uncombined: bounded buffer shipped %d pairs, unbounded %d; want more", b, u)
 	}
-	// Median is holistic: combining is skipped either way, so segments
-	// seal partial per-key values that cannot be folded map-side.
-	if r2.Counters.MapPairsOut < r1.Counters.MapPairsOut {
-		t.Fatalf("bounded buffer folded more than unbounded: %d vs %d",
-			r2.Counters.MapPairsOut, r1.Counters.MapPairsOut)
+	for _, qs := range []string{avg, "median temp[0,0 : 28,10] es {7,5}"} {
+		if u, b := pairsOut(qs, true, 0), pairsOut(qs, true, 5); b != u {
+			t.Fatalf("%s: map-side merge did not restore folded count: %d vs %d", qs, b, u)
+		}
 	}
-	// A distributive operator with combining recovers the folded count.
-	qa := mustParse(t, "avg temp[0,0 : 28,10] es {7,5}")
-	a1, err := Run(buildJob(t, qa, 2, true, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab := buildJob(t, qa, 2, true, true)
-	ab.SortBufferRecords = 5
-	a2, err := Run(ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.Counters.MapPairsOut != a1.Counters.MapPairsOut {
-		t.Fatalf("map-side merge did not restore folded count: %d vs %d",
-			a2.Counters.MapPairsOut, a1.Counters.MapPairsOut)
+}
+
+// TestExecMapHolisticOnePairPerKey: with the combiner on, a holistic
+// Map task ships exactly one pair per K' key, carrying every one of
+// that key's samples (len(Samples) == Count), sorted by key, with the
+// keyblock's source count equal to the samples shipped — also when a
+// bounded sort buffer splits the split into several segments. With the
+// combiner off, every sample ships as its own pair.
+func TestExecMapHolisticOnePairPerKey(t *testing.T) {
+	for _, qs := range []string{
+		"median temp[0,0 : 28,10] es {7,5}",
+		"percentile temp[0,0 : 28,10] es {4,5} param 90",
+		"sort temp[0,0 : 12,6] es {3,3}",
+	} {
+		for _, bound := range []int64{0, 3} {
+			q := mustParse(t, qs)
+			cfg := buildJob(t, q, 3, true, true)
+			op, err := q.Op()
+			if err != nil {
+				t.Fatal(err)
+			}
+			space, err := q.IntermediateSpace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := MapInput{Query: q, Op: op, Space: space, Part: cfg.Part, Reader: cfg.Reader, SortBufferRecords: bound}
+			for _, combine := range []bool{true, false} {
+				in.Combine = combine
+				for s, split := range cfg.Splits {
+					outs, records, err := ExecMap(in, split)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var shipped int64
+					for kb, o := range outs {
+						var samples int64
+						for i, p := range o.Pairs {
+							if int64(len(p.Value.Samples)) != p.Value.Count {
+								t.Fatalf("%s bound=%d split %d kb %d: key %v carries %d samples, Count %d",
+									qs, bound, s, kb, p.Key, len(p.Value.Samples), p.Value.Count)
+							}
+							if combine && i > 0 && !o.Pairs[i-1].Key.Less(p.Key) {
+								t.Fatalf("%s bound=%d split %d kb %d: key %v not strictly after %v (one pair per key)",
+									qs, bound, s, kb, p.Key, o.Pairs[i-1].Key)
+							}
+							if !combine && p.Value.Count != 1 {
+								t.Fatalf("%s uncombined: pair %v carries %d samples, want 1", qs, p.Key, p.Value.Count)
+							}
+							samples += p.Value.Count
+						}
+						if samples != o.SourceCount {
+							t.Fatalf("%s bound=%d split %d kb %d: %d samples shipped, SourceCount %d",
+								qs, bound, s, kb, samples, o.SourceCount)
+						}
+						shipped += samples
+					}
+					if shipped != records {
+						t.Fatalf("%s bound=%d split %d: %d samples shipped for %d records", qs, bound, s, shipped, records)
+					}
+				}
+			}
+		}
 	}
 }
 

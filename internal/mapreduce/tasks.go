@@ -155,8 +155,7 @@ type MapInput struct {
 	Part   partition.Partitioner
 	Reader RecordReader
 
-	// Combine enables map-side combining (applied only when lossless for
-	// the operator).
+	// Combine enables map-side combining (see Config.Combine).
 	Combine bool
 	// SortBufferRecords bounds the map-side accumulation buffer (see
 	// Config.SortBufferRecords). Zero means unbounded.
@@ -226,7 +225,6 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 		return make([]MapOut, in.Part.NumKeyblocks()), 0, nil
 	}
 	needSamples := in.Op.NeedsSamples()
-	combine := in.Combine && ops.CombinerLossless(in.Op)
 
 	r := in.Part.NumKeyblocks()
 	outs := make([]MapOut, r)
@@ -264,10 +262,10 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 				return err
 			}
 			out := *val
-			if combine && in.Op.Kind() == ops.Filter {
+			if in.Combine && in.Op.Kind() == ops.Filter {
 				out = ops.PreFilter(in.Op, out, q.Params()...)
 			}
-			if !combine && out.Count > 1 && out.Samples != nil {
+			if !in.Combine && out.Count > 1 && out.Samples != nil {
 				// Without a combiner each source pair ships separately;
 				// emit one pair per sample to model the uncombined byte
 				// volume. Aggregate-only operators still fold (their
@@ -350,7 +348,7 @@ func ExecMap(in MapInput, split InputSplit) ([]MapOut, int64, error) {
 			// No data for this keyblock.
 		case len(segs) == 1:
 			outs[kb].Pairs = segs[0]
-		case combine:
+		case in.Combine:
 			// Map-side merge folds equal keys across segments — the
 			// combiner applied during Hadoop's spill merge. The merged
 			// slice is fresh, so the segments return to the freelist.

@@ -182,6 +182,13 @@ func slabRuns(full coords.Shape, slab coords.Slab, fn func(offset, length int64)
 // ReadSlab reads the hyperslab of the named variable into a freshly
 // allocated row-major []float64.
 func (fl *File) ReadSlab(varName string, slab coords.Slab) ([]float64, error) {
+	return fl.ReadSlabInto(varName, slab, nil)
+}
+
+// ReadSlabInto is ReadSlab writing into dst's backing array when it is
+// large enough, so a caller reading slab after slab can reuse one
+// buffer. It returns the filled slice.
+func (fl *File) ReadSlabInto(varName string, slab coords.Slab, dst []float64) ([]float64, error) {
 	v, err := fl.header.Var(varName)
 	if err != nil {
 		return nil, err
@@ -190,7 +197,12 @@ func (fl *File) ReadSlab(varName string, slab coords.Slab) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, slab.Size())
+	out := dst[:0]
+	if n := int(slab.Size()); cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make([]float64, n)
+	}
 	esz := v.Type.Size()
 	var buf []byte
 	pos := 0

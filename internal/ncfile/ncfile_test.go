@@ -166,6 +166,25 @@ func TestWriteReadSlab(t *testing.T) {
 			t.Fatalf("value %d: got %v want %v", i, back[i], vals[i])
 		}
 	}
+	// ReadSlabInto reuses a large enough buffer and grows a short one;
+	// either way it reads the same values.
+	big := make([]float64, 64)
+	into, err := f.ReadSlabInto("v", slab, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(into) != len(vals) || &into[0] != &big[0] {
+		t.Fatalf("ReadSlabInto into a 64-value buffer: len %d, reused %v", len(into), &into[0] == &big[0])
+	}
+	short, err := f.ReadSlabInto("v", slab, make([]float64, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if into[i] != vals[i] || short[i] != vals[i] {
+			t.Fatalf("ReadSlabInto value %d: got %v, %v want %v", i, into[i], short[i], vals[i])
+		}
+	}
 	// Everything outside the slab must still hold the fill value.
 	all, err := f.ReadAll("v")
 	if err != nil {

@@ -3,10 +3,11 @@
 // intermediate key (one extraction-shape tile of input).
 //
 // Operators are classified the way the MapReduce-Online comparison in the
-// paper requires (§5): distributive operators admit combiners and
-// constant-size intermediate state; holistic operators (median, sort)
-// need every raw sample; filters emit variable-length results and admit
-// combiners that pre-filter.
+// paper requires (§5). Every kind has a lossless combiner: distributive
+// operators fold into constant-size intermediate state; holistic
+// operators (median, sort) need every raw sample, so their combiner
+// concatenates a key's samples into one value; filters emit
+// variable-length results and their combiner pre-filters.
 package ops
 
 import (
@@ -25,7 +26,7 @@ const (
 	// partial aggregates; combiners are lossless.
 	Distributive Kind = iota
 	// Holistic operators (median, sort) need all raw samples at the
-	// Reduce task; combiners may only concatenate.
+	// Reduce task; combiners concatenate a key's samples into one value.
 	Holistic
 	// Filter operators emit the subset of samples satisfying a
 	// predicate; combiners may pre-filter.
@@ -245,14 +246,6 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// CombinerLossless reports whether running a combiner preserves the
-// operator's exact result. Distributive operators aggregate losslessly;
-// filters pre-filter losslessly; holistic operators only concatenate, so
-// a combiner is legal but pointless and the engine skips it.
-func CombinerLossless(op Operator) bool {
-	return op.Kind() != Holistic
 }
 
 // NumParams returns how many parameters the operator consumes (0, 1 or
